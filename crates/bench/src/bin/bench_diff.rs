@@ -22,19 +22,23 @@
 //!
 //! Besides the timing rows the tool also diffs the report's `derived`
 //! block. Derived metrics are informational except the
-//! `serve_overload_*` family, `serve_repeat_p50_cycles`, and the
+//! `serve_overload_*` family, `serve_repeat_p50_cycles`, the
 //! `serve_cluster_*` family (minus the informational
-//! `serve_cluster_failovers` count), where "higher" means "worse"
-//! (Hard-tenant p99, shed rate, preemption/retry counts, repeat-heavy
-//! warm p50, cluster failover-recovery p99 / fleet p99s / miss rate /
-//! detection latency): those are held to the same `--fail-on-regress`
-//! threshold, skipping keys whose baseline is 0 (absent or not yet
-//! measured). Three metrics additionally get absolute gates under the
-//! same flag, so a collapse fails even against a drifted baseline:
-//! `speedup_vs_sequential` ([`SPEEDUP_FLOOR`]), `weight_cache_hit_rate`
-//! ([`HIT_RATE_FLOOR`]), and `serve_cluster_hard_lost` (any value above
-//! zero fails — the fault-domain invariant is that the Hard tier never
-//! loses a request, so there is no acceptable baseline to drift from).
+//! `serve_cluster_failovers` count), and `serve_soak_p99_cycles`, where
+//! "higher" means "worse" (Hard-tenant p99, shed rate, preemption/retry
+//! counts, repeat-heavy warm p50, cluster failover-recovery p99 / fleet
+//! p99s / miss rate / detection latency, soak fleet p99), and
+//! `parallel_scaling`, where "lower" means "worse" and which is gated
+//! only when the new report's host had a core per shard (header
+//! `host_cores >= threads`, see [`scaling_is_gated`]): those are held to
+//! the same `--fail-on-regress` threshold, skipping keys whose baseline
+//! is 0 (absent or not yet measured). Three metrics additionally get
+//! absolute gates under the same flag, so a collapse fails even against
+//! a drifted baseline: `production_vs_reference` ([`SPEEDUP_FLOOR`]),
+//! `weight_cache_hit_rate` ([`HIT_RATE_FLOOR`]), and
+//! `serve_cluster_hard_lost` (any value above zero fails — the
+//! fault-domain invariant is that the Hard tier never loses a request,
+//! so there is no acceptable baseline to drift from).
 //!
 //! When `--fail-on-regress` is active the tool prints a `gates` section
 //! listing every gate it evaluated with the observed value, the
@@ -110,22 +114,32 @@ fn parse_derived(json: &str) -> Vec<(String, f64)> {
 }
 
 /// Whether a derived key is held to the relative regression gate.
-/// Higher is worse for all of these: overload counters, the
-/// repeat-heavy warm p50, the cluster failover metrics (p99s, miss
-/// rate, detection latency, losses), and the soak-day fleet p99.
-/// `serve_cluster_failovers` is a plain re-dispatch count that tracks
-/// the fault plan, not a health metric, so it stays informational — as
-/// do the soak window count and hit rate.
+/// Higher is worse for all of these but `parallel_scaling` (see
+/// [`higher_is_better`]): overload counters, the repeat-heavy warm p50,
+/// the cluster failover metrics (p99s, miss rate, detection latency,
+/// losses), and the soak-day fleet p99. `serve_cluster_failovers` is a
+/// plain re-dispatch count that tracks the fault plan, not a health
+/// metric, so it stays informational — as do the soak window count and
+/// hit rate.
 fn is_gated_derived(name: &str) -> bool {
     name.starts_with("serve_overload_")
         || name == "serve_repeat_p50_cycles"
         || name == "serve_soak_p99_cycles"
         || (name.starts_with("serve_cluster_") && name != "serve_cluster_failovers")
+        || higher_is_better(name)
 }
 
-/// The largest percentage increase of any gated derived metric (see
-/// [`is_gated_derived`], where higher is worse). Keys with a zero or
-/// missing baseline are skipped.
+/// Gated derived keys where a *drop* is the regression: the speedup of
+/// `threads` shards over one.
+fn higher_is_better(name: &str) -> bool {
+    name == "parallel_scaling"
+}
+
+/// The largest percentage worsening of any gated derived metric (see
+/// [`is_gated_derived`]): an increase, or a decrease for
+/// [`higher_is_better`] keys. Keys with a zero or missing baseline are
+/// skipped, as are higher-is-better keys whose new value is 0 (not
+/// measured).
 fn worst_derived_regression(
     base: &[(String, f64)],
     new: &[(String, f64)],
@@ -137,28 +151,60 @@ fn worst_derived_regression(
             if *base_v <= 0.0 {
                 return None;
             }
-            let pct = (new_v - base_v) / base_v * 100.0;
+            let pct = if higher_is_better(name) {
+                if *new_v <= 0.0 {
+                    return None;
+                }
+                (base_v - new_v) / base_v * 100.0
+            } else {
+                (new_v - base_v) / base_v * 100.0
+            };
             (pct > 0.0).then(|| (name.clone(), pct))
         })
         .max_by(|a, b| a.1.total_cmp(&b.1))
 }
 
-/// Absolute floor for the parallel-speedup derived metric. Unlike the
-/// relative regression gate this does not compare against the baseline:
-/// a collapsed parallel path (mutex contention, accidental
-/// serialization) should fail CI even if the checked-in baseline has
-/// already drifted down. 2.5 leaves headroom below the 3.0 the harness
-/// records at 4 threads so ordinary run-to-run noise doesn't flap.
+/// An integer field of the report header (`"key": N`), e.g. `threads`
+/// or `host_cores`; `None` when absent or not an integer.
+fn parse_header(json: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\": ");
+    let at = json.find(&pat)? + pat.len();
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().ok()
+}
+
+/// Whether the report's `parallel_scaling` is worth gating: only when
+/// the host had a core for each of the `threads` shards. On fewer cores
+/// the workers time-slice and the ratio measures the scheduler, not the
+/// partitioned loop. Reports without `host_cores` are not gated.
+fn scaling_is_gated(json: &str) -> bool {
+    matches!(
+        (parse_header(json, "host_cores"), parse_header(json, "threads")),
+        (Some(cores), Some(threads)) if threads > 1 && cores >= threads
+    )
+}
+
+/// Absolute floor for `production_vs_reference`, the production
+/// stepping loop's speedup over the naive reference loop on
+/// `resnet18_segment`, both at one shard. Unlike the relative
+/// regression gate this does not compare against the baseline: a
+/// collapsed fast path (a lost stepping shortcut, an accidental route
+/// into the reference loop) should fail CI even if the checked-in
+/// baseline has already drifted down. 2.5 leaves headroom below the
+/// ~3.1 the harness records so ordinary run-to-run noise doesn't flap.
 const SPEEDUP_FLOOR: f64 = 2.5;
 
-/// Returns the new report's `speedup_vs_sequential` if it is below the
-/// floor. The harness emits 0.00 when the sequential/parallel bench
-/// pair didn't run (filtered `--bench` invocations), so zero means
-/// "not measured", not "collapsed", and passes — as does a report
+/// Returns the new report's `production_vs_reference` if it is below
+/// the floor. The harness emits 0.00 when the production/reference
+/// bench pair didn't run (filtered `--bench` invocations), so zero
+/// means "not measured", not "collapsed", and passes — as does a report
 /// without the key at all.
 fn speedup_floor_breach(new: &[(String, f64)]) -> Option<f64> {
     new.iter()
-        .find(|(name, _)| name == "speedup_vs_sequential")
+        .find(|(name, _)| name == "production_vs_reference")
         .map(|&(_, v)| v)
         .filter(|v| *v > 0.0 && *v < SPEEDUP_FLOOR)
 }
@@ -267,6 +313,7 @@ fn main() -> ExitCode {
     }
     let base_derived = parse_derived(&base_json);
     let new_derived = parse_derived(&new_json);
+    let scaling_gated = scaling_is_gated(&new_json);
     for (name, new_v) in &new_derived {
         match base_derived.iter().find(|(b, _)| b == name) {
             Some((_, base_v)) if *base_v > 0.0 => {
@@ -303,7 +350,14 @@ fn main() -> ExitCode {
             }
             None => println!("  timing regression          nothing slower than baseline"),
         }
-        let derived = worst_derived_regression(&base_derived, &new_derived);
+        // an ungated `parallel_scaling` stays in the table above but is
+        // held to no threshold
+        let gated_new: Vec<(String, f64)> = new_derived
+            .iter()
+            .filter(|(name, _)| scaling_gated || !higher_is_better(name))
+            .cloned()
+            .collect();
+        let derived = worst_derived_regression(&base_derived, &gated_new);
         match &derived {
             Some((name, pct)) => {
                 let lookup = |side: &[(String, f64)]| {
@@ -334,7 +388,21 @@ fn main() -> ExitCode {
             ),
             _ => println!("  {label} not run"),
         };
-        print_floor("speedup_vs_sequential     ", "speedup_vs_sequential", SPEEDUP_FLOOR);
+        print_floor("production_vs_reference   ", "production_vs_reference", SPEEDUP_FLOOR);
+        let cores = parse_header(&new_json, "host_cores")
+            .map_or_else(|| "unrecorded".to_string(), |c| c.to_string());
+        let threads = parse_header(&new_json, "threads").unwrap_or(0);
+        match gate_value("parallel_scaling") {
+            Some(v) if v > 0.0 => println!(
+                "  parallel_scaling           {v:.2} {} ({threads} shards on {cores} host cores)",
+                if scaling_gated {
+                    "gated relatively"
+                } else {
+                    "not gated"
+                }
+            ),
+            _ => println!("  parallel_scaling           not run"),
+        }
         print_floor("weight_cache_hit_rate     ", "weight_cache_hit_rate", HIT_RATE_FLOOR);
         match gate_value("serve_cluster_hard_lost") {
             Some(v) => println!("  serve_cluster_hard_lost    {v:.0} (must be 0)"),
@@ -364,8 +432,8 @@ fn main() -> ExitCode {
         }
         if let Some(v) = speedup_floor_breach(&new_derived) {
             eprintln!(
-                "bench_diff: derived `speedup_vs_sequential` = {v:.2} below the \
-                 {SPEEDUP_FLOOR:.1} floor — the parallel path has collapsed"
+                "bench_diff: derived `production_vs_reference` = {v:.2} below the \
+                 {SPEEDUP_FLOOR:.1} floor — the production loop's fast path has collapsed"
             );
             return ExitCode::FAILURE;
         }
@@ -398,8 +466,8 @@ fn main() -> ExitCode {
 mod tests {
     use super::{
         hard_lost_breach, hit_rate_floor_breach, is_gated_derived,
-        missing_gated_derived, parse_derived, parse_medians, speedup_floor_breach,
-        worst_derived_regression, worst_regression,
+        missing_gated_derived, parse_derived, parse_header, parse_medians,
+        scaling_is_gated, speedup_floor_breach, worst_derived_regression, worst_regression,
     };
 
     #[test]
@@ -425,7 +493,7 @@ mod tests {
     fn parses_and_gates_derived_metrics() {
         let base = r#"{
   "derived": {
-    "speedup_vs_sequential": 2.50,
+    "production_vs_reference": 2.50,
     "serve_overload_hard_p99_cycles": 300000,
     "serve_overload_shed_rate": 0.500,
     "serve_overload_preemptions": 0
@@ -433,7 +501,7 @@ mod tests {
 }"#;
         let new = r#"{
   "derived": {
-    "speedup_vs_sequential": 1.00,
+    "production_vs_reference": 1.00,
     "serve_overload_hard_p99_cycles": 390000,
     "serve_overload_shed_rate": 0.520,
     "serve_overload_preemptions": 3
@@ -443,9 +511,9 @@ mod tests {
         let n = parse_derived(new);
         assert_eq!(b.len(), 4);
         // Hard p99 went up 30% — the worst gated metric by relative
-        // regression. The collapsed speedup is caught separately by the
-        // absolute floor; the preemption jump has a 0 baseline and is
-        // skipped.
+        // regression. The collapsed production speedup is caught
+        // separately by the absolute floor; the preemption jump has a 0
+        // baseline and is skipped.
         let (name, pct) = worst_derived_regression(&b, &n).unwrap();
         assert_eq!(name, "serve_overload_hard_p99_cycles");
         assert!((pct - 30.0).abs() < 1e-9, "{pct}");
@@ -455,19 +523,51 @@ mod tests {
     #[test]
     fn speedup_floor_gates_on_new_value_only() {
         // At or above the floor: passes, regardless of the baseline.
-        let ok = parse_derived(r#"{"derived": {"speedup_vs_sequential": 2.50}}"#);
+        let ok = parse_derived(r#"{"derived": {"production_vs_reference": 2.50}}"#);
         assert_eq!(speedup_floor_breach(&ok), None);
-        let good = parse_derived(r#"{"derived": {"speedup_vs_sequential": 3.03}}"#);
+        let good = parse_derived(r#"{"derived": {"production_vs_reference": 3.13}}"#);
         assert_eq!(speedup_floor_breach(&good), None);
         // Below the floor: fails even if the baseline had drifted down.
-        let bad = parse_derived(r#"{"derived": {"speedup_vs_sequential": 2.49}}"#);
+        let bad = parse_derived(r#"{"derived": {"production_vs_reference": 2.49}}"#);
         assert_eq!(speedup_floor_breach(&bad), Some(2.49));
         // 0.00 = bench pair not run (filtered --bench invocation): passes.
-        let unrun = parse_derived(r#"{"derived": {"speedup_vs_sequential": 0.00}}"#);
+        let unrun = parse_derived(r#"{"derived": {"production_vs_reference": 0.00}}"#);
         assert_eq!(speedup_floor_breach(&unrun), None);
         // Missing metric entirely: not a breach either.
         let absent = parse_derived(r#"{"derived": {"serve_overload_shed_rate": 0.5}}"#);
         assert_eq!(speedup_floor_breach(&absent), None);
+        // The old thread-count ratio is not the floor's metric.
+        let old = parse_derived(r#"{"derived": {"speedup_vs_sequential": 1.00}}"#);
+        assert_eq!(speedup_floor_breach(&old), None);
+    }
+
+    #[test]
+    fn parallel_scaling_drop_is_the_regression() {
+        let b = parse_derived(r#"{"derived": {"parallel_scaling": 2.00}}"#);
+        // a 40% drop in scaling is a regression, a rise is not, and 0.00
+        // (parallel row not run) is not measured
+        let worse = parse_derived(r#"{"derived": {"parallel_scaling": 1.20}}"#);
+        let (name, pct) = worst_derived_regression(&b, &worse).unwrap();
+        assert_eq!(name, "parallel_scaling");
+        assert!((pct - 40.0).abs() < 1e-9, "{pct}");
+        let better = parse_derived(r#"{"derived": {"parallel_scaling": 2.60}}"#);
+        assert!(worst_derived_regression(&b, &better).is_none());
+        let unrun = parse_derived(r#"{"derived": {"parallel_scaling": 0.00}}"#);
+        assert!(worst_derived_regression(&b, &unrun).is_none());
+    }
+
+    #[test]
+    fn parallel_scaling_is_gated_only_with_a_core_per_shard() {
+        let header = |threads: u64, cores: u64| {
+            format!("{{\n  \"threads\": {threads},\n  \"host_cores\": {cores},\n}}")
+        };
+        assert_eq!(parse_header(&header(4, 2), "threads"), Some(4));
+        assert_eq!(parse_header(&header(4, 2), "host_cores"), Some(2));
+        assert!(scaling_is_gated(&header(4, 4)));
+        assert!(scaling_is_gated(&header(2, 8)));
+        assert!(!scaling_is_gated(&header(4, 2)), "oversubscribed host");
+        assert!(!scaling_is_gated(&header(1, 8)), "one shard has nothing to scale");
+        assert!(!scaling_is_gated("{\n  \"threads\": 4\n}"), "no host_cores recorded");
     }
 
     #[test]

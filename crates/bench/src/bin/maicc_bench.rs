@@ -4,7 +4,8 @@
 //! Criterion), this binary measures *host* wall-clock time of the
 //! simulator itself with `std::time::Instant` — warmup runs followed by
 //! N timed iterations, reporting median/p10/p90 — and writes the results
-//! as JSON to `BENCH_results.json`.
+//! as JSON. The committed baseline is `BENCH_results.json`; a run only
+//! replaces it when asked to with `--json BENCH_results.json`.
 //!
 //! ```text
 //! cargo run --release -p maicc-bench --bin maicc_bench [-- OPTIONS]
@@ -15,7 +16,8 @@
 //!   --threads N         worker threads for the parallel row
 //!                       (default: host core count)
 //!   --bench SUBSTRING   only run benchmarks whose name contains SUBSTRING
-//!   --json PATH         output JSON path (default BENCH_results.json)
+//!   --json PATH         output JSON path (default bench_local.json,
+//!                       git-ignored)
 //!   --out PATH          alias for --json (kept for compatibility)
 //! ```
 //!
@@ -26,14 +28,20 @@
 //! * `table5_scheduled_replay` — the statically scheduled program replay;
 //! * `table6_heuristic_mapping` — ResNet-18 heuristic layer mapping;
 //! * `resnet18_segment` — the full-system streaming simulation (bit-level
-//!   CMems + flit-level mesh) on the default fault-campaign workload,
-//!   event-driven engine, sequential;
-//! * `resnet18_segment_parallel` — same, with `set_parallelism` at
-//!   `--threads`;
-//! * `resnet18_segment_cycle_accurate` — same workload on the per-cycle
-//!   oracle engine (the skip-ahead engine's speedup baseline);
-//! * `resnet18_segment_slowpath` — same, with a quiet `FaultPlan`
-//!   attached so every MAC takes the bit-serial slow path;
+//!   CMems + flit-level mesh) on the default fault-campaign workload:
+//!   `StreamSim::run`, the production loop, event-driven engine, one
+//!   shard;
+//! * `resnet18_segment_reference` — same workload on
+//!   `StreamSim::run_reference`, the naive oracle loop (full mesh scans,
+//!   every node stepped every cycle, bit-serial MACs), timed interleaved
+//!   with the production row for `production_vs_reference`;
+//! * `resnet18_segment_parallel` — the production loop with
+//!   `set_parallelism` at `--threads`, for `parallel_scaling`;
+//! * `resnet18_segment_cycle_accurate` — the production loop on the
+//!   per-cycle oracle engine (the skip-ahead engine's speedup baseline);
+//! * `resnet18_segment_slowpath` — the production loop with a quiet
+//!   `FaultPlan` attached, which turns the host-side MAC shortcut off so
+//!   every MAC takes the bit-serial path;
 //! * `serve_mix_fcfs` / `serve_mix_sjf` — the online serving layer on a
 //!   bursty three-model trace over a contended 8-tile pool; the check
 //!   value is the fleet p99 latency in fabric cycles, so the two rows
@@ -105,95 +113,62 @@ struct Summary {
 
 /// Times `f` for `warmup + iters` runs and summarizes the timed ones.
 /// `f` returns a check value that must not vary between iterations.
-fn measure(name: &'static str, warmup: usize, iters: usize, mut f: impl FnMut() -> u64) -> Summary {
-    let mut check = None;
-    for _ in 0..warmup {
-        check = Some(f());
-    }
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        let c = f();
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        samples.push(ns);
-        match check {
-            None => check = Some(c),
-            Some(prev) => assert_eq!(prev, c, "{name}: nondeterministic check value"),
-        }
-    }
-    samples.sort_unstable();
-    let s = Summary {
-        name,
-        median_ns: percentile(&samples, 50.0),
-        p10_ns: percentile(&samples, 10.0),
-        p90_ns: percentile(&samples, 90.0),
-        min_ns: samples[0],
-        max_ns: samples[samples.len() - 1],
-        iters,
-        check: check.expect("at least one iteration"),
-    };
-    println!(
-        "{:<32} median {:>13} ns  p10 {:>13}  p90 {:>13}  (check {})",
-        s.name, s.median_ns, s.p10_ns, s.p90_ns, s.check
-    );
-    s
+fn measure(name: &'static str, warmup: usize, iters: usize, f: impl FnMut() -> u64) -> Summary {
+    let mut rows = measure_group(warmup, iters, vec![(name, Box::new(f))]);
+    rows.pop().expect("one row")
 }
 
-/// Times two workloads with interleaved iterations (A, B, A, B, …) so
-/// slow host-frequency drift lands on both equally — the fair way to
-/// measure a ratio like `speedup_vs_sequential`, where back-to-back
-/// blocks would systematically penalize whichever runs second.
-fn measure_pair(
-    name_a: &'static str,
-    name_b: &'static str,
-    warmup: usize,
-    iters: usize,
-    mut f_a: impl FnMut() -> u64,
-    mut f_b: impl FnMut() -> u64,
-) -> (Summary, Summary) {
+/// A named workload for [`measure_group`].
+type Row<'a> = (&'static str, Box<dyn FnMut() -> u64 + 'a>);
+
+/// Times several workloads with interleaved iterations (A, B, C, A, B,
+/// C, …) so slow host-frequency drift lands on all of them equally — the
+/// fair way to measure a ratio like `production_vs_reference`, where
+/// back-to-back blocks would systematically penalize whichever runs
+/// last. Every workload must return the same check value on every
+/// iteration.
+fn measure_group(warmup: usize, iters: usize, mut rows: Vec<Row<'_>>) -> Vec<Summary> {
     let mut check = None;
+    let mut agree = |name: &str, c: u64| match check {
+        None => check = Some(c),
+        Some(prev) => assert_eq!(prev, c, "{name}: check value diverged"),
+    };
     for _ in 0..warmup {
-        let c = f_a();
-        assert_eq!(c, f_b(), "{name_a}/{name_b}: check values diverge");
-        check = Some(c);
+        for (name, f) in &mut rows {
+            agree(name, f());
+        }
     }
-    let mut samples_a = Vec::with_capacity(iters);
-    let mut samples_b = Vec::with_capacity(iters);
+    let mut samples = vec![Vec::with_capacity(iters); rows.len()];
     for _ in 0..iters {
-        for (f, samples) in [
-            (&mut f_a as &mut dyn FnMut() -> u64, &mut samples_a),
-            (&mut f_b, &mut samples_b),
-        ] {
+        for ((name, f), samples) in rows.iter_mut().zip(&mut samples) {
             let start = Instant::now();
             let c = f();
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            samples.push(ns);
-            match check {
-                None => check = Some(c),
-                Some(prev) => assert_eq!(prev, c, "nondeterministic check value"),
-            }
+            samples.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            agree(name, c);
         }
     }
     let check = check.expect("at least one iteration");
-    let summarize = |name: &'static str, mut samples: Vec<u64>| {
-        samples.sort_unstable();
-        let s = Summary {
-            name,
-            median_ns: percentile(&samples, 50.0),
-            p10_ns: percentile(&samples, 10.0),
-            p90_ns: percentile(&samples, 90.0),
-            min_ns: samples[0],
-            max_ns: samples[samples.len() - 1],
-            iters,
-            check,
-        };
-        println!(
-            "{:<32} median {:>13} ns  p10 {:>13}  p90 {:>13}  (check {})",
-            s.name, s.median_ns, s.p10_ns, s.p90_ns, s.check
-        );
-        s
-    };
-    (summarize(name_a, samples_a), summarize(name_b, samples_b))
+    rows.iter()
+        .zip(samples)
+        .map(|(&(name, _), mut samples)| {
+            samples.sort_unstable();
+            let s = Summary {
+                name,
+                median_ns: percentile(&samples, 50.0),
+                p10_ns: percentile(&samples, 10.0),
+                p90_ns: percentile(&samples, 90.0),
+                min_ns: samples[0],
+                max_ns: samples[samples.len() - 1],
+                iters,
+                check,
+            };
+            println!(
+                "{:<32} median {:>13} ns  p10 {:>13}  p90 {:>13}  (check {})",
+                s.name, s.median_ns, s.p10_ns, s.p90_ns, s.check
+            );
+            s
+        })
+        .collect()
 }
 
 fn table4_node_conv(wl: ConvWorkload, ifmap: &[i8], weights: &[i8], golden: &[i32]) -> u64 {
@@ -214,24 +189,37 @@ fn table5_scheduled_replay(kernel: &CmemConvKernel, ifmap: &[i8], weights: &[i8]
     t.finish().total_cycles
 }
 
-/// Runs the streaming segment; `threads > 1` enables sharded stepping,
-/// `slow_path` pins the bit-serial MAC path via a quiet fault plan.
-fn stream_segment(
-    cfg: &StreamConfig,
-    golden: &[i8],
-    engine: Engine,
-    threads: usize,
-    slow_path: bool,
-) -> u64 {
+/// Which `StreamSim` loop a `resnet18_segment*` row times.
+#[derive(Clone, Copy)]
+enum Segment {
+    /// `StreamSim::run`, the production loop, at this many shards.
+    Production(usize),
+    /// `StreamSim::run_reference`, the naive oracle loop.
+    Reference,
+    /// The production loop at one shard with a quiet `FaultPlan`
+    /// attached: the plan turns the host-side MAC shortcut off, so every
+    /// MAC runs on the bit-plane arrays.
+    SlowPath,
+}
+
+/// Runs the streaming segment once on `engine` and the loop `variant`
+/// picks, checks the ofmap against `golden`, and returns the modelled
+/// cycles.
+fn stream_segment(cfg: &StreamConfig, golden: &[i8], engine: Engine, variant: Segment) -> u64 {
     let mut sim = StreamSim::new(cfg).expect("segment fits");
     sim.set_engine(engine);
-    if threads > 1 {
-        sim.set_parallelism(threads);
+    let r = match variant {
+        Segment::Production(threads) => {
+            sim.set_parallelism(threads);
+            sim.run(STREAM_BUDGET)
+        }
+        Segment::Reference => sim.run_reference(STREAM_BUDGET),
+        Segment::SlowPath => {
+            sim.attach_cmem_fault_plan(&FaultPlan::none());
+            sim.run(STREAM_BUDGET)
+        }
     }
-    if slow_path {
-        sim.attach_cmem_fault_plan(&FaultPlan::none());
-    }
-    let r = sim.run(STREAM_BUDGET).expect("drains");
+    .expect("drains");
     assert_eq!(r.ofmap, golden, "streaming ofmap mismatch");
     r.cycles
 }
@@ -295,6 +283,7 @@ fn write_json(
     quick: bool,
     iters: usize,
     threads: usize,
+    host_cores: usize,
     results: &[Summary],
     stats: &ScenarioStats,
 ) {
@@ -310,6 +299,7 @@ fn write_json(
     out.push_str(&format!("  \"iterations\": {iters},\n"));
     out.push_str(&format!("  \"engine\": \"{}\",\n", Engine::default().label()));
     out.push_str(&format!("  \"threads\": {threads},\n"));
+    out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     out.push_str(&format!(
         "  \"pre_pr_resnet18_segment_ns\": {},\n",
         pre_pr::RESNET18_SEGMENT_NS
@@ -338,6 +328,7 @@ fn write_json(
             .map(|s| s.median_ns as f64)
     };
     let seg = median("resnet18_segment");
+    let reference = median("resnet18_segment_reference");
     let slow = median("resnet18_segment_slowpath");
     let par = median("resnet18_segment_parallel");
     let oracle = median("resnet18_segment_cycle_accurate");
@@ -358,8 +349,18 @@ fn write_json(
         "    \"event_driven_vs_cycle_accurate\": {:.2},\n",
         ratio(oracle, seg)
     ));
+    // the production loop's gain over the naive reference loop, both at
+    // one shard: what the stepping shortcuts (active-router tracking,
+    // node-phase skipping, the MAC shortcut) buy with no threads involved
     out.push_str(&format!(
-        "    \"speedup_vs_sequential\": {:.2},\n",
+        "    \"production_vs_reference\": {:.2},\n",
+        ratio(reference, seg)
+    ));
+    // the production loop at one shard over the same loop at `threads`
+    // shards: what the worker pool buys, meaningful only when the host
+    // has `threads` cores to run it on (header `host_cores`)
+    out.push_str(&format!(
+        "    \"parallel_scaling\": {:.2},\n",
         ratio(seg, par)
     ));
     // Serving-policy tail latencies in fabric cycles (the serve rows'
@@ -487,13 +488,13 @@ fn write_json(
         soak.map_or(0.0, |s| s.hit_rate)
     ));
     out.push_str("  }\n}\n");
-    std::fs::write(path, out).expect("write BENCH_results.json");
+    std::fs::write(path, out).expect("write the JSON report");
 }
 
 fn main() {
     let mut quick = false;
     let mut iters = 5usize;
-    let mut out = String::from("BENCH_results.json");
+    let mut out = String::from("bench_local.json");
     let mut threads = 0usize;
     let mut filter: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -529,14 +530,15 @@ fn main() {
     // what kept table5_scheduled_replay's p90 at 2.4x its median
     let warmup = if quick { 0 } else { 2 };
     assert!(iters > 0, "need at least one iteration");
+    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if threads == 0 {
-        threads = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
+        threads = host_cores;
     }
     let want = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
 
     println!(
         "maicc_bench: {iters} iteration(s), {warmup} warmup, quick={quick}, \
-         engine={}, threads={threads}",
+         engine={}, threads={threads}, host_cores={host_cores}",
         Engine::default().label()
     );
 
@@ -568,41 +570,39 @@ fn main() {
                 .total_cycles as u64
         }));
     }
-    match (want("resnet18_segment"), want("resnet18_segment_parallel")) {
-        (true, true) => {
-            // interleaved so speedup_vs_sequential is drift-free
-            let (seq, par) = measure_pair(
-                "resnet18_segment",
-                "resnet18_segment_parallel",
-                warmup,
-                iters,
-                || stream_segment(&seg_cfg, &seg_golden, Engine::default(), 1, false),
-                || stream_segment(&seg_cfg, &seg_golden, Engine::default(), threads, false),
-            );
-            results.push(seq);
-            results.push(par);
-        }
-        (true, false) => {
-            results.push(measure("resnet18_segment", warmup, iters, || {
-                stream_segment(&seg_cfg, &seg_golden, Engine::default(), 1, false)
-            }));
-        }
-        (false, true) => {
-            results.push(measure("resnet18_segment_parallel", warmup, iters, || {
-                stream_segment(&seg_cfg, &seg_golden, Engine::default(), threads, false)
-            }));
-        }
-        (false, false) => {}
+    // the production, reference, and parallel rows run interleaved so
+    // the ratios between them are drift-free
+    let segment = |engine: Engine, variant: Segment| {
+        let (cfg, golden) = (&seg_cfg, &seg_golden);
+        move || stream_segment(cfg, golden, engine, variant)
+    };
+    let rows: Vec<Row<'_>> = [
+        ("resnet18_segment", Segment::Production(1)),
+        ("resnet18_segment_reference", Segment::Reference),
+        ("resnet18_segment_parallel", Segment::Production(threads)),
+    ]
+    .into_iter()
+    .filter(|(name, _)| want(name))
+    .map(|(name, variant)| -> Row<'_> { (name, Box::new(segment(Engine::default(), variant))) })
+    .collect();
+    if !rows.is_empty() {
+        results.extend(measure_group(warmup, iters, rows));
     }
     if want("resnet18_segment_cycle_accurate") {
-        results.push(measure("resnet18_segment_cycle_accurate", warmup, iters, || {
-            stream_segment(&seg_cfg, &seg_golden, Engine::CycleAccurate, 1, false)
-        }));
+        results.push(measure(
+            "resnet18_segment_cycle_accurate",
+            warmup,
+            iters,
+            segment(Engine::CycleAccurate, Segment::Production(1)),
+        ));
     }
     if want("resnet18_segment_slowpath") {
-        results.push(measure("resnet18_segment_slowpath", warmup, iters, || {
-            stream_segment(&seg_cfg, &seg_golden, Engine::default(), 1, true)
-        }));
+        results.push(measure(
+            "resnet18_segment_slowpath",
+            warmup,
+            iters,
+            segment(Engine::default(), Segment::SlowPath),
+        ));
     }
     if want("serve_mix_fcfs") || want("serve_mix_sjf") {
         // Bursty three-model trace over an 8-tile pool: only one
@@ -852,8 +852,9 @@ fn main() {
         filter.as_deref().unwrap_or("")
     );
 
-    // Modelled cycles must agree across fast, parallel, oracle, and
-    // slow-path runs of the streaming segment.
+    // Modelled cycles must agree across the production, reference,
+    // parallel, cycle-accurate, and slow-path runs of the streaming
+    // segment.
     let cycles: Vec<u64> = results
         .iter()
         .filter(|s| s.name.starts_with("resnet18_segment"))
@@ -869,6 +870,7 @@ fn main() {
         quick,
         iters,
         threads,
+        host_cores,
         &results,
         &ScenarioStats {
             overload: overload_stats,
@@ -897,14 +899,19 @@ fn main() {
         if let Some(oracle) = median("resnet18_segment_cycle_accurate") {
             println!("event-driven engine: {:.1}x over cycle-accurate oracle", oracle / seg);
         }
+        if let Some(reference) = median("resnet18_segment_reference") {
+            println!("production loop: {:.2}x over the reference loop", reference / seg);
+        }
         if let Some(par) = median("resnet18_segment_parallel") {
-            let speedup = seg / par;
-            println!("parallel ({threads} threads): {speedup:.2}x over sequential");
-            if speedup < 1.0 {
+            let scaling = seg / par;
+            println!(
+                "parallel ({threads} shards, {host_cores} host cores): {scaling:.2}x over one shard"
+            );
+            if scaling < 1.0 && host_cores >= threads {
                 println!(
-                    "WARNING: resnet18_segment_parallel is SLOWER than sequential \
-                     (speedup_vs_sequential = {speedup:.2} < 1.0) — \
-                     the worker pool is losing to single-threaded stepping"
+                    "WARNING: resnet18_segment_parallel is SLOWER than one shard \
+                     (parallel_scaling = {scaling:.2} < 1.0) — \
+                     the worker pool is losing to inline stepping"
                 );
             }
         }

@@ -210,8 +210,8 @@ pub struct Mesh<T> {
     /// superset of those with buffered flits or pending injections), so
     /// [`Mesh::tick_partitioned`] arbitrates in time proportional to the
     /// *live* traffic instead of scanning the whole port table. `None`
-    /// (the default, and what the sequential oracle uses) keeps the
-    /// full-scan [`Mesh::tick`] as the reference behaviour.
+    /// (the default, and what the simulator's naive reference loop uses)
+    /// keeps the full-scan [`Mesh::tick`] as the reference behaviour.
     tracked: Option<Vec<usize>>,
 }
 

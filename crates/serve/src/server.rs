@@ -115,10 +115,11 @@ pub struct ServeConfig {
     /// Simulation engine driving each admitted request (does not affect
     /// results — engines are bit-identical).
     pub engine: Engine,
-    /// Node-stepping worker threads per admitted request's simulation
-    /// (ownership-partitioned stepping, DESIGN.md §14 — trades
-    /// wall-clock for cores without affecting results: reports stay
-    /// byte-identical at any count).
+    /// Node-step shards per admitted request's simulation. Every count,
+    /// the default 1 included, runs the same ownership-partitioned
+    /// production loop (DESIGN.md §14); 1 is one shard with no worker
+    /// threads, and more shards trade wall-clock for cores without
+    /// affecting results: reports stay byte-identical at any count.
     pub threads: usize,
     /// Schedulable pool size in tiles, carved from the start of the
     /// serpentine order; `0` means the whole healthy array.

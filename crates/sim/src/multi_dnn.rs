@@ -264,9 +264,9 @@ pub fn streamed_multi_dnn(
 /// [`streamed_multi_dnn`] with each model's simulation itself sharded
 /// over `threads` node-stepping workers ([`StreamSim::set_parallelism`],
 /// the ownership-partitioned two-phase schedule of DESIGN.md §14). The
-/// shard-order packet merge reproduces the sequential injection
-/// schedule, so the report is bit-identical for every thread count —
-/// the knob only trades wall-clock for cores.
+/// shard-order packet merge reproduces node-index injection order, so
+/// the report is bit-identical for every thread count — the knob only
+/// trades wall-clock for cores.
 ///
 /// # Errors
 ///

@@ -487,7 +487,8 @@ pub struct StreamSim {
     /// Fault injection: flip one bit of (layer, pixel)'s first row in
     /// flight.
     fault: Option<(usize, usize)>,
-    /// Worker threads for the per-cycle node step (1 = sequential).
+    /// Node-step shards for the partitioned loop (1 = one shard, no
+    /// worker threads).
     parallelism: usize,
     /// Which simulation core drives `run`.
     engine: Engine,
@@ -826,23 +827,17 @@ impl StreamSim {
         Self::new_avoiding(cfg, failed)
     }
 
-    /// Sets the number of node-step shards (clamped to at least 1; 1
-    /// means the fully sequential reference loop).
+    /// Sets the number of node-step shards (clamped to at least 1).
     ///
-    /// Any value above 1 selects the **ownership-partitioned engine**
-    /// (see `run_loop_partitioned`): nodes are split into contiguous
-    /// index-range shards whose CMem/inbox state is owned outright by one
-    /// [`StepPool`] worker each, stepped lock-free within a cycle
-    /// (compute phase), with outgoing packets buffered into per-shard
-    /// queues that a deterministic merge drains in shard order — equal to
-    /// node-index order, i.e. exactly the sequential injection schedule —
-    /// between cycles (exchange phase). Results are therefore bit-exact
-    /// against the sequential loop by construction (regression- and
-    /// proptest-enforced by `parallel_matches_sequential_matrix` and
-    /// `prop_parallel_matches_sequential`). On a host without spare
-    /// cores, or when a CMem fault plan makes mid-phase errors possible,
-    /// the coordinator steps the shards itself in the same order — the
-    /// merge schedule, and so the result, is identical either way.
+    /// [`StreamSim::run`] drives the ownership-partitioned loop at every
+    /// count (see `run_loop_partitioned` and DESIGN.md §14); this only
+    /// picks how many contiguous node-index shards it splits the nodes
+    /// into, each owned by one [`StepPool`] worker. One shard — or a host
+    /// without spare cores, or an attached CMem fault plan — steps them
+    /// inline with no worker threads. The shard-order packet merge makes
+    /// results bit-identical at every count, checked against
+    /// [`StreamSim::run_reference`] by `parallel_matches_sequential_matrix`
+    /// and `prop_parallel_matches_sequential`.
     pub fn set_parallelism(&mut self, threads: usize) {
         self.parallelism = threads.max(1);
     }
@@ -1018,7 +1013,63 @@ impl StreamSim {
     /// above then only surface once `max_replays` is exhausted.
     /// [`StreamResult::cycles`] and [`StreamResult::cmem_pj`] include the
     /// re-executed work.
+    ///
+    /// Every thread count drives the same ownership-partitioned loop
+    /// (`run_loop_partitioned`); `parallelism == 1` is its one-shard case.
     pub fn run(&mut self, budget: u64) -> Result<StreamResult, SimError> {
+        // Shard geometry is fixed for the whole run (the node count is a
+        // function of the layer shapes, so remap rebuilds preserve it):
+        // hoisted here instead of being re-derived every cycle.
+        let shards = self.parallelism.min(self.nodes.len()).max(1);
+        let chunk = self.nodes.len().div_ceil(shards);
+        // Dispatching shards to real threads only pays when there are
+        // several shards and the host has spare cores to run them on; and
+        // with a CMem fault plan armed a shard step can fail mid-phase,
+        // where the node-index abort point (nodes after the failing one
+        // do not step that cycle) must be reproduced exactly — all these
+        // cases have the coordinator step the shards inline in shard
+        // order, which is the same merge schedule.
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let use_pool = shards > 1
+            && host > 1
+            && self.cmem_plan.is_none()
+            && self.targeted_plans.is_empty();
+        self.drive(|sim, dims, cfg| {
+            if use_pool {
+                std::thread::scope(|scope| {
+                    let mut pool = StepPool::start(scope, shards, dims, cfg);
+                    sim.run_loop_partitioned(budget, dims, cfg, chunk, Some(&mut pool))
+                })
+            } else {
+                sim.run_loop_partitioned(budget, dims, cfg, chunk, None)
+            }
+        })
+    }
+
+    /// [`StreamSim::run`] on the naive reference loop (`run_loop`): full
+    /// mesh scans, every free node stepped every cycle, every MAC on the
+    /// bit-plane arrays, under the same recovery/replay wrapper. It is
+    /// the oracle the production loop is checked against (equivalence
+    /// tests, the `maicc_bench` production-vs-reference ratio) and
+    /// ignores [`StreamSim::set_parallelism`]; nothing else should call
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`StreamSim::run`], on the same cycle.
+    #[doc(hidden)]
+    pub fn run_reference(&mut self, budget: u64) -> Result<StreamResult, SimError> {
+        self.drive(|sim, dims, cfg| sim.run_loop(budget, dims, cfg))
+    }
+
+    /// The run wrapper shared by [`StreamSim::run`] and
+    /// [`StreamSim::run_reference`]: takes the initial checkpoint, calls
+    /// `attempt` (one stepping loop to drain or error) until it drains or
+    /// recovery gives up, and assembles the [`StreamResult`].
+    fn drive(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self, &[LayerDims], &StreamConfig) -> Result<(), SimError>,
+    ) -> Result<StreamResult, SimError> {
         let dims = self.layer_dims();
         self.ckpt_log.clear();
         // the pool workers borrow the config for the whole run, so hand
@@ -1027,59 +1078,16 @@ impl StreamSim {
         if self.recovery.is_some() && self.checkpoint.is_none() {
             self.take_checkpoint();
         }
-        // Shard geometry is fixed for the whole run (the node count is a
-        // function of the layer shapes, so remap rebuilds preserve it):
-        // hoisted here instead of being re-derived every cycle.
-        let shards = self.parallelism.min(self.nodes.len()).max(1);
-        let chunk = self.nodes.len().div_ceil(shards);
-        // Dispatching shards to real threads only pays when the host has
-        // spare cores to run them on; and with a CMem fault plan armed a
-        // shard step can fail mid-phase, where the sequential abort point
-        // (nodes after the failing one do not step that cycle) must be
-        // reproduced exactly — both cases fall back to the coordinator
-        // stepping the shards inline in shard order, which is the same
-        // merge schedule.
-        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let use_pool = shards > 1
-            && host > 1
-            && self.cmem_plan.is_none()
-            && self.targeted_plans.is_empty();
-        loop {
-            let res = if self.parallelism > 1 {
-                if use_pool {
-                    let dims_ref: &[LayerDims] = &dims;
-                    let cfg_ref: &StreamConfig = &cfg;
-                    std::thread::scope(|scope| {
-                        let mut pool = StepPool::start(scope, shards, dims_ref, cfg_ref);
-                        self.run_loop_partitioned(
-                            budget,
-                            dims_ref,
-                            cfg_ref,
-                            chunk,
-                            Some(&mut pool),
-                        )
-                    })
-                } else {
-                    self.run_loop_partitioned(budget, &dims, &cfg, chunk, None)
-                }
-            } else {
-                self.run_loop(budget, &dims, &cfg)
-            };
-            match res {
-                Ok(()) => break,
-                Err(e) => {
-                    if !self.try_recover(&e) {
-                        return Err(e);
-                    }
-                }
+        while let Err(e) = attempt(self, &dims, &cfg) {
+            if !self.try_recover(&e) {
+                return Err(e);
             }
         }
         let cycles = self.mesh.cycle() + self.recovery_stats.replayed_cycles;
         let last = self.cfg.layers.last().expect("non-empty");
         let out_c = last.shape.out_channels;
         let (oh, ow) = {
-            let d = self.layer_dims();
-            let (_, o) = d[d.len() - 1];
+            let (_, o) = dims[dims.len() - 1];
             (o.1, o.2)
         };
         let mut ofmap = vec![0i8; out_c * oh * ow];
@@ -1255,6 +1263,42 @@ impl StreamSim {
         }
     }
 
+    /// Recovery: snapshots architectural state whenever enough new ofmap
+    /// values have reached the sink — a logical-progress trigger, so both
+    /// engines and both loops checkpoint at identical points. A snapshot
+    /// is skipped while the mesh has unrecoverably lost packets beyond
+    /// the held checkpoint's count: rollbacks must land *before* the
+    /// loss.
+    fn checkpoint_on_progress(&mut self) {
+        let Some(policy) = self.recovery else {
+            return;
+        };
+        let mark = self.sink_count() / policy.checkpoint_values.max(1);
+        if mark > self.checkpoint_mark
+            && self.mesh.fault_stats().packets_lost
+                == self.checkpoint.as_ref().map_or(0, |c| c.lost)
+        {
+            self.checkpoint_mark = mark;
+            self.take_checkpoint();
+        }
+    }
+
+    /// The error for a run that went quiet before completing: nothing in
+    /// flight, nothing queued, nobody busy. Lost traffic degrades;
+    /// anything else is a protocol error.
+    fn quiesced(&self) -> SimError {
+        let lost = self.mesh.fault_stats().packets_lost;
+        if lost > 0 {
+            return SimError::Degraded {
+                lost_packets: lost,
+                cycles: self.mesh.cycle(),
+            };
+        }
+        SimError::Protocol {
+            reason: "simulation quiesced before completion".into(),
+        }
+    }
+
     /// Reports a budget exhaustion with the most actionable error: lost
     /// traffic degrades, a long-wedged router is named for remap
     /// recovery, anything else is a bare timeout.
@@ -1303,10 +1347,11 @@ impl StreamSim {
         Ok(())
     }
 
-    /// The sequential simulation loop (`parallelism == 1`), kept as the
-    /// naive reference the partitioned engine is verified against: full
-    /// active-set mesh scans, every free node stepped every cycle, every
-    /// MAC executed on the bit-plane arrays. Returns when the workload
+    /// The naive reference loop, reached only through
+    /// [`StreamSim::run_reference`]: full active-set mesh scans, every
+    /// free node stepped every cycle, every MAC executed on the bit-plane
+    /// arrays. It shares no stepping shortcut with the production loop,
+    /// which is what makes it an oracle for it. Returns when the workload
     /// has drained (`Ok`) or with the same typed errors as
     /// [`StreamSim::run`].
     fn run_loop(
@@ -1354,22 +1399,7 @@ impl StreamSim {
             for p in outgoing.drain(..) {
                 self.mesh.send(p);
             }
-            // recovery: snapshot architectural state whenever enough new
-            // ofmap values have reached the sink — a logical-progress
-            // trigger, so both engines checkpoint at identical points.
-            // A snapshot is skipped while the mesh has unrecoverably
-            // lost packets beyond the held checkpoint's count: rollbacks
-            // must land *before* the loss.
-            if let Some(policy) = self.recovery {
-                let mark = self.sink_count() / policy.checkpoint_values.max(1);
-                if mark > self.checkpoint_mark
-                    && self.mesh.fault_stats().packets_lost
-                        == self.checkpoint.as_ref().map_or(0, |c| c.lost)
-                {
-                    self.checkpoint_mark = mark;
-                    self.take_checkpoint();
-                }
-            }
+            self.checkpoint_on_progress();
             // completion check
             if self.finished() && self.mesh.is_idle() {
                 return Ok(());
@@ -1384,16 +1414,7 @@ impl StreamSim {
                     .iter()
                     .all(|n| n.inbox.is_empty() && n.busy_until <= now)
             {
-                let lost = self.mesh.fault_stats().packets_lost;
-                if lost > 0 {
-                    return Err(SimError::Degraded {
-                        lost_packets: lost,
-                        cycles: self.mesh.cycle(),
-                    });
-                }
-                return Err(SimError::Protocol {
-                    reason: "simulation quiesced before completion".into(),
-                });
+                return Err(self.quiesced());
             }
             // skip-ahead: with the mesh drained, ticking through the gap
             // until the next node event is pure no-op work — every free
@@ -1411,9 +1432,11 @@ impl StreamSim {
         }
     }
 
-    /// The ownership-partitioned simulation loop (`parallelism > 1`):
-    /// the two-phase (compute / exchange) schedule over shard-owned node
-    /// state, bit-identical to [`StreamSim::run_loop`] by construction.
+    /// The production simulation loop behind [`StreamSim::run`] at every
+    /// thread count: the two-phase (compute / exchange) schedule over
+    /// shard-owned node state (one shard at `parallelism == 1`),
+    /// bit-identical to the reference [`StreamSim::run_loop`] by
+    /// construction.
     ///
     /// Per cycle: the mesh ticks over its tracked active-router set (a
     /// maintained superset of routers with queued work — every phase of
@@ -1423,16 +1446,16 @@ impl StreamSim {
     /// arrived (`next_node_event` certifies every skipped step a no-op);
     /// shards step lock-free against state they own, buffering packets
     /// per shard; and the exchange merges the shard queues in shard
-    /// order — equal to node-index order, the sequential injection
-    /// schedule. With `pool` absent (single-core host, or a CMem fault
-    /// plan whose mid-phase abort point must match the sequential loop)
-    /// the coordinator steps the shards itself in the same order.
+    /// order — equal to node-index order, the reference loop's injection
+    /// schedule. With `pool` absent (one shard, a single-core host, or a
+    /// CMem fault plan whose mid-phase abort point must match node-index
+    /// order) the coordinator steps the shards itself in the same order.
     ///
     /// Completion, quiescence, checkpoint, and budget checks reuse values
     /// cached at the last node phase: nodes only change state in a phase
     /// (deliveries force one), so the cached `finished`/`wake` are exact
     /// on phase-skipped cycles and every exit fires on the same cycle as
-    /// the sequential loop.
+    /// the reference loop.
     #[allow(clippy::too_many_lines)]
     fn run_loop_partitioned(
         &mut self,
@@ -1511,20 +1534,11 @@ impl StreamSim {
                     return Err(e);
                 }
                 finished = self.finished();
-                // recovery snapshot on sink progress — identical trigger
-                // and cycle as the sequential loop (sink counts only move
-                // in a phase, and a lost-packet mismatch can never heal,
-                // so evaluating on phase cycles alone is exact)
-                if let Some(policy) = self.recovery {
-                    let mark = self.sink_count() / policy.checkpoint_values.max(1);
-                    if mark > self.checkpoint_mark
-                        && self.mesh.fault_stats().packets_lost
-                            == self.checkpoint.as_ref().map_or(0, |c| c.lost)
-                    {
-                        self.checkpoint_mark = mark;
-                        self.take_checkpoint();
-                    }
-                }
+                // identical trigger and cycle as the reference loop,
+                // which checks every cycle: sink counts only move in a
+                // phase, and a lost-packet mismatch can never heal, so
+                // evaluating on phase cycles alone is exact
+                self.checkpoint_on_progress();
                 wake = self.next_node_event(now);
             }
             let idle = self.mesh.is_idle();
@@ -1535,16 +1549,7 @@ impl StreamSim {
             // pending (so all inboxes are empty), unchanged since the
             // last phase
             if !injected && idle && wake.is_none() {
-                let lost = self.mesh.fault_stats().packets_lost;
-                if lost > 0 {
-                    return Err(SimError::Degraded {
-                        lost_packets: lost,
-                        cycles: self.mesh.cycle(),
-                    });
-                }
-                return Err(SimError::Protocol {
-                    reason: "simulation quiesced before completion".into(),
-                });
+                return Err(self.quiesced());
             }
             if self.engine == Engine::EventDriven && idle {
                 if let Some(w) = wake {
@@ -1615,14 +1620,16 @@ impl StreamSim {
 
 /// Steps one node at cycle `now`, appending emitted packets to `out`.
 ///
-/// `fast` selects the partitioned engine's host-side MAC shortcut: when
+/// `fast` selects the production loop's host-side MAC shortcut: when
 /// [`Cmem::mac_shortcut_ok`] certifies every slice a pixel's MACs touch
 /// (no fault plan, no ECC, mask fully open), the dot products are
 /// computed from the byte-form shadows instead of the bit-plane arrays —
 /// the identical value by the signed bit-plane MAC theorem
 /// (`prop_mac_signed_matches_reference` in `maicc-sram`), with identical
-/// energy accounting via [`Cmem::charge_macs`]. The sequential reference
-/// loop passes `false` and always runs the arrays.
+/// energy accounting via [`Cmem::charge_macs`]. The partitioned loop
+/// passes `true` at every thread count; only the reference loop behind
+/// [`StreamSim::run_reference`] passes `false` and always runs the
+/// arrays.
 #[allow(clippy::too_many_lines)]
 fn step_node(
     node: &mut SimNode,
@@ -2041,12 +2048,12 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_matrix() {
-        // the PR-2 regression grown into the partitioned-engine matrix:
-        // threads {1, 2, 4, 8} × both engines × {clean, CMem transient
-        // plan + replay, NoC drop plan + replay, dead tile + remap}.
-        // Ownership-partitioned stepping must reproduce the sequential
-        // run byte-for-byte: StreamResult, recovery stats, fault and ECC
-        // observations, and the retired-tile set.
+        // the production loop at threads {1, 2, 4, 8} × both engines ×
+        // {clean, CMem transient plan + replay, NoC drop plan + replay,
+        // dead tile + remap} against the naive reference loop.
+        // Ownership-partitioned stepping must reproduce the reference
+        // run byte-for-byte: StreamResult, recovery stats and checkpoint
+        // log, fault and ECC observations, and the retired-tile set.
         #[derive(Clone, Copy, Debug)]
         enum Scenario {
             Clean,
@@ -2101,9 +2108,9 @@ mod tests {
         ] {
             for engine in [Engine::EventDriven, Engine::CycleAccurate] {
                 let (cfg, mut base) = build(sc, engine, 1);
-                let seq = base.run(20_000_000).unwrap();
-                assert_eq!(seq.ofmap, cfg.golden(), "{sc:?} baseline converges");
-                for threads in [2, 4, 8] {
+                let seq = base.run_reference(20_000_000).unwrap();
+                assert_eq!(seq.ofmap, cfg.golden(), "{sc:?} reference converges");
+                for threads in [1, 2, 4, 8] {
                     let (_, mut sim) = build(sc, engine, threads);
                     let par = sim.run(20_000_000).unwrap();
                     let tag = format!("{sc:?}/{engine:?}/{threads} threads");
@@ -2112,6 +2119,11 @@ mod tests {
                         sim.recovery_stats(),
                         base.recovery_stats(),
                         "recovery stats diverged: {tag}"
+                    );
+                    assert_eq!(
+                        sim.checkpoint_log(),
+                        base.checkpoint_log(),
+                        "checkpoint log diverged: {tag}"
                     );
                     assert_eq!(
                         sim.cmem_fault_stats(),
@@ -2136,8 +2148,10 @@ mod tests {
 
     #[test]
     fn engines_agree_on_canned_configs() {
-        // the oracle check on every canned workload, including the
-        // stride-2 ResNet segment whose modelled latency is pinned below
+        // the oracle checks on every canned workload, including the
+        // stride-2 ResNet segment whose modelled latency is pinned below:
+        // the two engines agree, and on each engine the production loop
+        // agrees with the naive reference loop
         for (cfg, budget) in [
             (StreamConfig::small_test(), 5_000_000u64),
             (StreamConfig::two_layer_test(), 10_000_000),
@@ -2151,6 +2165,12 @@ mod tests {
             let o = oracle.run(budget).unwrap();
             assert_eq!(f, o, "engines diverged");
             assert_eq!(f.ofmap, cfg.golden());
+            for engine in [Engine::EventDriven, Engine::CycleAccurate] {
+                let mut reference = StreamSim::new(&cfg).unwrap();
+                reference.set_engine(engine);
+                let r = reference.run_reference(budget).unwrap();
+                assert_eq!(r, f, "production and reference loops diverged ({engine:?})");
+            }
         }
     }
 
@@ -2528,18 +2548,18 @@ mod tests {
             prop_assert_eq!(fecc, oecc, "ECC stats diverged");
         }
 
-        /// Thread-count equivalence on random workloads: every
-        /// parallelism level reproduces the sequential `StreamResult`
-        /// bit-for-bit, on both engines — the partitioned engine's merge
-        /// order makes this hold by construction, and this proptest keeps
-        /// it honest.
+        /// Thread-count equivalence on random workloads: the production
+        /// loop at every parallelism level, 1 included, reproduces the
+        /// reference loop's `StreamResult` bit-for-bit, on both engines —
+        /// the partitioned engine's merge order makes this hold by
+        /// construction, and this proptest keeps it honest.
         #[test]
         fn prop_parallel_matches_sequential(
             in_c in 4usize..12,
             out_c in 1usize..4,
             hw in 5usize..7,
             salt in 0usize..8,
-            threads in 2usize..9,
+            threads in 1usize..9,
             cycle_accurate in any::<bool>(),
             two_layers in any::<bool>(),
         ) {
@@ -2559,7 +2579,7 @@ mod tests {
             };
             let mut seq = StreamSim::new(&cfg).unwrap();
             seq.set_engine(engine);
-            let s = seq.run(4_000_000).unwrap();
+            let s = seq.run_reference(4_000_000).unwrap();
             let mut par = StreamSim::new(&cfg).unwrap();
             par.set_engine(engine);
             par.set_parallelism(threads);
